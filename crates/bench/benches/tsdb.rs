@@ -73,10 +73,9 @@ fn bench_codecs(c: &mut Criterion) {
 }
 
 /// Whole-block array decoding (`decode_into` into a reused buffer — the
-/// path query scans and snapshot restore now ride) versus the streaming
-/// point-at-a-time `iter()` reference decoder, for all five codecs over
-/// one sealed block's worth of data. The spread between the two is the
-/// vectorization win the batch-staging rework banks on.
+/// path query scans ride) versus the streaming point-at-a-time `iter()`
+/// reference decoder, for all five codecs over one sealed block's worth of
+/// data. The spread between the two is the whole-block decode win.
 fn bench_batch_codecs(c: &mut Criterion) {
     const N: usize = 4096;
     let mut g = c.benchmark_group("tsdb/batch_codecs");
@@ -148,17 +147,6 @@ fn bench_ingest(c: &mut Criterion) {
         b.iter_batched(
             || (Db::new(DbConfig::default()), points.clone()),
             |(db, pts)| db.write_batch(&pts).unwrap(),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("stage_batch_10k", |b| {
-        b.iter_batched(
-            || (Db::new(DbConfig::default()), points.clone()),
-            |(db, pts)| {
-                let mut stager = db.stager();
-                stager.stage_batch(&pts).unwrap();
-                stager.flush().unwrap();
-            },
             BatchSize::LargeInput,
         )
     });

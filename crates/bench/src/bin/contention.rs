@@ -1,5 +1,5 @@
-//! Ingest contention benchmark: sharded-lock engine (fronted by per-writer
-//! [`monster_tsdb::WriteStager`]s) vs a single global lock, swept across
+//! Ingest contention benchmark: the sharded-lock engine (each writer calls
+//! [`monster_tsdb::Db::write_batch`]) vs a single global lock, swept across
 //! writer counts on pinned OS threads. Writes machine-readable
 //! `BENCH_tsdb.json` for cross-PR perf tracking.
 //!
@@ -124,8 +124,8 @@ fn run_single(db: &Db, batches: &[Vec<DataPoint>]) -> (f64, Vec<f64>) {
 /// One threaded multi-writer wall-clock trial. Each writer runs on its own
 /// OS thread pinned to core `w % cores`. `global: true` simulates the
 /// pre-rework engine (one write lock around every batch); `false` is the
-/// shipped path — a per-writer [`monster_tsdb::WriteStager`] batching into
-/// the sharded engine. Returns (points/sec, per-writer wall secs, pinned).
+/// shipped path — `write_batch` per batch straight into the sharded
+/// engine. Returns (points/sec, per-writer wall secs, pinned).
 fn run_multi_wall(
     all: &[Vec<Vec<DataPoint>>],
     cores: usize,
@@ -145,17 +145,9 @@ fn run_multi_wall(
                 s.spawn(move || {
                     let pinned = pin_to_core(w % cores);
                     let t = Instant::now();
-                    if global {
-                        for b in batches {
-                            let _g = big_lock.write().unwrap();
-                            db.write_batch(b).unwrap();
-                        }
-                    } else {
-                        let mut stager = db.stager();
-                        for b in batches {
-                            stager.stage_batch(b).unwrap();
-                        }
-                        stager.flush().unwrap();
+                    for b in batches {
+                        let _g = global.then(|| big_lock.write().unwrap());
+                        db.write_batch(b).unwrap();
                     }
                     (t.elapsed().as_secs_f64(), pinned)
                 })

@@ -43,21 +43,17 @@ fn recovered_service_serves_byte_identical_documents() {
     let config = DbConfig::default();
     let ids = NodeId::enumerate(2, 4);
 
-    // The deployment that will crash: WAL-backed, fed through the staged
-    // ingest path like a real collector, synced, then killed hard — the
+    // The deployment that will crash: WAL-backed, fed one `write_batch`
+    // per interval like a real collector, synced, then killed hard — the
     // process image is gone, only the directory remains. `copy_dir_killed_at`
     // at the full extent models a kill after the final group commit.
     let (db, _) = Db::recover(config, &dir).unwrap();
     // The uninterrupted twin: same writes, never restarted.
     let twin = Arc::new(Db::new(config));
-    {
-        let mut stager = db.stager_with_capacity(64);
-        let mut twin_stager = twin.stager_with_capacity(64);
-        for i in 0..60i64 {
-            let b = batch_at(&ids, i);
-            stager.stage_batch(&b).unwrap();
-            twin_stager.stage_batch(&b).unwrap();
-        }
+    for i in 0..60i64 {
+        let b = batch_at(&ids, i);
+        db.write_batch(&b).unwrap();
+        twin.write_batch(&b).unwrap();
     }
     db.wal_sync().unwrap();
     drop(db);

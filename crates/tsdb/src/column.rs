@@ -140,47 +140,6 @@ pub enum ScanItem {
     Partial(BlockSummary),
 }
 
-/// A typed, contiguous run of values staged for bulk append — the unit
-/// the vectorized write path moves around instead of one `FieldValue` at
-/// a time.
-#[derive(Debug, Clone, Copy)]
-pub enum RunSlice<'a> {
-    /// Float run.
-    Float(&'a [f64]),
-    /// Integer run.
-    Int(&'a [i64]),
-    /// Boolean run.
-    Bool(&'a [bool]),
-    /// String run.
-    Str(&'a [String]),
-}
-
-impl RunSlice<'_> {
-    /// Number of values in the run.
-    pub fn len(&self) -> usize {
-        match self {
-            RunSlice::Float(s) => s.len(),
-            RunSlice::Int(s) => s.len(),
-            RunSlice::Bool(s) => s.len(),
-            RunSlice::Str(s) => s.len(),
-        }
-    }
-
-    /// True when the run holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            RunSlice::Float(_) => "float",
-            RunSlice::Int(_) => "integer",
-            RunSlice::Bool(_) => "boolean",
-            RunSlice::Str(_) => "string",
-        }
-    }
-}
-
 /// Reusable whole-block decode buffers. One scratch serves a whole column
 /// scan: each sealed block decodes into these contiguous arrays (cleared,
 /// never shrunk), so a warm scan performs zero allocations per block for
@@ -357,79 +316,6 @@ impl Column {
             FieldValue::Str(_) => Tail::Str(Vec::new()),
         };
         Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, encoded: 0 }
-    }
-
-    /// Create a column typed after the run about to be appended.
-    pub fn new_for(run: RunSlice<'_>) -> Self {
-        let tail = match run {
-            RunSlice::Float(_) => Tail::Float(Vec::new()),
-            RunSlice::Int(_) => Tail::Int(Vec::new()),
-            RunSlice::Bool(_) => Tail::Bool(Vec::new()),
-            RunSlice::Str(_) => Tail::Str(Vec::new()),
-        };
-        Column { sealed: Vec::new(), tail_ts: Vec::new(), tail, encoded: 0 }
-    }
-
-    /// Bulk-append a typed run of `(timestamp, value)` pairs.
-    ///
-    /// The type check runs once for the whole run (all-or-nothing: a
-    /// conflicting run leaves the column untouched), values land via
-    /// `extend_from_slice`, and the tail is chunked to exactly
-    /// [`BLOCK_SIZE`] before sealing — so the resulting block layout is
-    /// bit-identical to appending the same points one at a time.
-    pub fn append_run(&mut self, ts: &[i64], values: RunSlice<'_>) -> Result<()> {
-        if ts.len() != values.len() {
-            return Err(Error::invalid(format!(
-                "run length mismatch: {} timestamps vs {} values",
-                ts.len(),
-                values.len()
-            )));
-        }
-        match (&self.tail, &values) {
-            (Tail::Float(_), RunSlice::Float(_))
-            | (Tail::Int(_), RunSlice::Int(_))
-            | (Tail::Bool(_), RunSlice::Bool(_))
-            | (Tail::Str(_), RunSlice::Str(_)) => {}
-            (tail, run) => {
-                return Err(Error::invalid(format!(
-                    "field type conflict: column is {}, run has {}",
-                    tail.type_name(),
-                    run.type_name()
-                )))
-            }
-        }
-        let mut off = 0;
-        while off < ts.len() {
-            let room = BLOCK_SIZE - self.tail_ts.len();
-            let take = room.min(ts.len() - off);
-            self.tail_ts.extend_from_slice(&ts[off..off + take]);
-            match (&mut self.tail, values) {
-                (Tail::Float(v), RunSlice::Float(s)) => {
-                    v.extend_from_slice(&s[off..off + take]);
-                    self.encoded += take * 16;
-                }
-                (Tail::Int(v), RunSlice::Int(s)) => {
-                    v.extend_from_slice(&s[off..off + take]);
-                    self.encoded += take * 16;
-                }
-                (Tail::Bool(v), RunSlice::Bool(s)) => {
-                    v.extend_from_slice(&s[off..off + take]);
-                    self.encoded += take * 9;
-                }
-                (Tail::Str(v), RunSlice::Str(s)) => {
-                    for x in &s[off..off + take] {
-                        self.encoded += 8 + x.len() + 8;
-                        v.push(x.clone());
-                    }
-                }
-                _ => unreachable!("run type checked above"),
-            }
-            off += take;
-            if self.tail_ts.len() >= BLOCK_SIZE {
-                self.seal_tail();
-            }
-        }
-        Ok(())
     }
 
     /// Append one (timestamp, value). Errors on a field-type conflict —
@@ -910,81 +796,6 @@ mod tests {
             }
             other => panic!("expected partial, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn append_run_matches_point_appends_bit_for_bit() {
-        // Runs of awkward sizes straddling several block boundaries.
-        let n = BLOCK_SIZE * 3 + 17;
-        let ts: Vec<i64> = (0..n as i64).collect();
-        let floats_v: Vec<f64> = (0..n).map(|i| (i % 89) as f64 * 0.7).collect();
-        let ints_v: Vec<i64> = (0..n).map(|i| (i as i64) * 13 - 5).collect();
-        let bools_v: Vec<bool> = (0..n).map(|i| i % 5 == 0).collect();
-        let strs_v: Vec<String> = (0..n).map(|i| format!("s{}", i % 7)).collect();
-        let runs: Vec<RunSlice<'_>> = vec![
-            RunSlice::Float(&floats_v),
-            RunSlice::Int(&ints_v),
-            RunSlice::Bool(&bools_v),
-            RunSlice::Str(&strs_v),
-        ];
-        for run in runs {
-            // Point-at-a-time reference column.
-            let make = |i: usize| match run {
-                RunSlice::Float(s) => FieldValue::Float(s[i]),
-                RunSlice::Int(s) => FieldValue::Int(s[i]),
-                RunSlice::Bool(s) => FieldValue::Bool(s[i]),
-                RunSlice::Str(s) => FieldValue::Str(s[i].clone()),
-            };
-            let mut reference = Column::new_for(run);
-            for (i, &t) in ts.iter().enumerate() {
-                reference.append(t, &make(i)).unwrap();
-            }
-            // Bulk column fed the same points in uneven chunks.
-            let mut bulk = Column::new_for(run);
-            let mut off = 0;
-            for chunk in [1usize, 3, BLOCK_SIZE - 4, BLOCK_SIZE + 9, 700, usize::MAX] {
-                let take = chunk.min(n - off);
-                let sub = match run {
-                    RunSlice::Float(s) => RunSlice::Float(&s[off..off + take]),
-                    RunSlice::Int(s) => RunSlice::Int(&s[off..off + take]),
-                    RunSlice::Bool(s) => RunSlice::Bool(&s[off..off + take]),
-                    RunSlice::Str(s) => RunSlice::Str(&s[off..off + take]),
-                };
-                bulk.append_run(&ts[off..off + take], sub).unwrap();
-                off += take;
-            }
-            assert_eq!(off, n);
-            assert_eq!(bulk.point_count(), reference.point_count());
-            assert_eq!(bulk.sealed.len(), reference.sealed.len());
-            for (a, b) in bulk.sealed.iter().zip(&reference.sealed) {
-                assert_eq!(a.summary, b.summary);
-                assert_eq!(a.ts_bytes, b.ts_bytes, "sealed timestamp bytes diverged");
-                let (av, bv) = match (&a.values, &b.values) {
-                    (BlockValues::Float(x), BlockValues::Float(y))
-                    | (BlockValues::Int(x), BlockValues::Int(y))
-                    | (BlockValues::Bool(x), BlockValues::Bool(y))
-                    | (BlockValues::Str(x), BlockValues::Str(y)) => (x, y),
-                    _ => panic!("block type diverged"),
-                };
-                assert_eq!(av, bv, "sealed value bytes diverged");
-            }
-            assert_eq!(bulk.encoded_bytes(), reference.encoded_bytes());
-            assert_eq!(bulk.encoded_bytes(), bulk.recompute_encoded_bytes());
-            assert_eq!(collect(&bulk, i64::MIN, i64::MAX), collect(&reference, i64::MIN, i64::MAX));
-        }
-    }
-
-    #[test]
-    fn append_run_type_conflict_leaves_column_untouched() {
-        let mut col = Column::new(&FieldValue::Float(0.0));
-        col.append(0, &FieldValue::Float(1.0)).unwrap();
-        let err = col.append_run(&[1, 2], RunSlice::Int(&[1, 2])).unwrap_err();
-        assert!(err.to_string().contains("type conflict"));
-        assert_eq!(col.point_count(), 1);
-        assert_eq!(col.encoded_bytes(), col.recompute_encoded_bytes());
-        // Length mismatch is rejected up front too.
-        assert!(col.append_run(&[1], RunSlice::Float(&[1.0, 2.0])).is_err());
-        assert_eq!(col.point_count(), 1);
     }
 
     #[test]

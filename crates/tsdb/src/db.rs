@@ -170,16 +170,11 @@ impl Db {
         self.wal = Some(wal);
     }
 
-    /// The write-ahead log, when this database is durable.
+    /// The write-ahead log, when this database is durable (recovery tests
+    /// hand-frame records through it).
+    #[cfg(test)]
     pub(crate) fn wal(&self) -> Option<&crate::wal::Wal> {
         self.wal.as_ref()
-    }
-
-    /// The series index lock (staging's WAL renderer resolves ids → names
-    /// under one read acquisition; lock order: after the shard map, before
-    /// any shard).
-    pub(crate) fn index(&self) -> &RwLock<SeriesIndex> {
-        &self.index
     }
 
     /// True when writes are logged to a write-ahead log.
@@ -394,13 +389,15 @@ impl Db {
             let wire: usize = points.iter().map(DataPoint::wire_size).sum();
             self.wire_bytes.fetch_add(wire, Ordering::Relaxed);
         }
-        self.note_applied(applied, encoded_delta);
+        self.points.fetch_add(applied, Ordering::Relaxed);
+        self.encoded_bytes.fetch_add(encoded_delta, Ordering::Relaxed);
+        monster_obs::counter("monster_tsdb_points_written_total").add(applied as u64);
         // Watermarks advance only after shard data is visible to readers
         // (a concurrent cache-validity snapshot may go spuriously stale,
         // never stale-but-valid). A failed batch may still have applied a
         // prefix, so note the spans unconditionally — over-invalidation is
         // safe.
-        self.note_measurement_spans(&spans);
+        self.watermarks.note_spans(&spans);
 
         monster_obs::counter("monster_tsdb_write_batches_total").inc();
         monster_obs::histo("monster_tsdb_write_batch_points").observe(points.len() as f64);
@@ -418,8 +415,8 @@ impl Db {
     }
 
     /// Reject batches containing field-less points — whole-batch, before
-    /// any state changes. Shared by the locked and staged write paths.
-    pub(crate) fn validate_points(points: &[DataPoint]) -> Result<()> {
+    /// any state changes.
+    fn validate_points(points: &[DataPoint]) -> Result<()> {
         for p in points {
             if !p.is_valid() {
                 return Err(Error::invalid(format!(
@@ -435,9 +432,8 @@ impl Db {
     /// caller-provided buffers (cleared first; `fids` gets one entry per
     /// field in point order). One index read-lock acquisition on the fast
     /// path, plus one write acquisition only when new series or field names
-    /// appear. Callers that reuse the buffers (the staging path) resolve a
-    /// whole batch without allocating.
-    pub(crate) fn resolve_ids(
+    /// appear.
+    fn resolve_ids(
         &self,
         points: &[DataPoint],
         sids: &mut Vec<Option<SeriesId>>,
@@ -484,31 +480,6 @@ impl Db {
             drop(idx);
             self.observe_lock(wait, acquired);
         }
-    }
-
-    /// Record an accepted batch's wire-level statistics (staging path; the
-    /// locked write path inlines the equivalent updates).
-    pub(crate) fn note_batch(&self, batch_points: usize, wire_bytes: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes.fetch_add(wire_bytes, Ordering::Relaxed);
-        monster_obs::counter("monster_tsdb_write_batches_total").inc();
-        monster_obs::histo("monster_tsdb_write_batch_points").observe(batch_points as f64);
-    }
-
-    /// Fold applied points and their encoded-size delta into the
-    /// incremental statistics (shared by both write paths).
-    pub(crate) fn note_applied(&self, applied: usize, encoded_delta: i64) {
-        self.points.fetch_add(applied, Ordering::Relaxed);
-        self.encoded_bytes.fetch_add(encoded_delta, Ordering::Relaxed);
-        monster_obs::counter("monster_tsdb_points_written_total").add(applied as u64);
-    }
-
-    /// Fold one applied batch's per-measurement `[min_ts, max_ts]` spans
-    /// into the watermark registry. Called after the data is readable
-    /// (end of [`Db::write_batch`]; `WriteStager::flush` after its runs
-    /// publish).
-    pub(crate) fn note_measurement_spans<S: AsRef<str>>(&self, spans: &[(S, i64, i64)]) {
-        self.watermarks.note_spans(spans);
     }
 
     /// Current ingest watermark for `measurement` (default mark if never
@@ -592,21 +563,6 @@ impl Db {
         let shard_count = self.shards.read().len() as i64;
         monster_obs::gauge("monster_tsdb_series").set(series);
         monster_obs::gauge("monster_tsdb_shards").set(shard_count);
-    }
-
-    /// Per-writer staging buffer in front of this database's shards; see
-    /// [`crate::staging::WriteStager`].
-    pub fn stager(&self) -> crate::staging::WriteStager<'_> {
-        crate::staging::WriteStager::new(self)
-    }
-
-    /// [`Db::stager`] with an explicit auto-flush threshold (staged field
-    /// values, across all runs).
-    pub fn stager_with_capacity(
-        &self,
-        max_staged_points: usize,
-    ) -> crate::staging::WriteStager<'_> {
-        crate::staging::WriteStager::with_capacity(self, max_staged_points)
     }
 
     /// Parse and run a query string.
@@ -851,9 +807,9 @@ impl Db {
     }
 
     /// Visit every stored point (one callback per field value) across all
-    /// shards, in shard order. Used by the snapshot writer. Holds the
-    /// index read lock for the duration and each shard's read lock in
-    /// turn (index-before-shard is the sanctioned nesting).
+    /// shards, in shard order. Holds the index read lock for the duration
+    /// and each shard's read lock in turn (index-before-shard is the
+    /// sanctioned nesting).
     pub fn export(
         &self,
         mut f: impl FnMut(&SeriesKey, &str, i64, crate::FieldValue),
@@ -1019,7 +975,7 @@ impl Db {
             })?;
             drop(idx);
             if let Some(wal) = &self.wal {
-                let bytes = crate::snapshot::encode_segment(&text);
+                let bytes = crate::recover::encode_segment(&text);
                 let path = wal.dir().join(format!("shard-{start}.seg"));
                 let tmp = wal.dir().join(format!("shard-{start}.seg.tmp"));
                 let res = (|| -> Result<()> {

@@ -61,12 +61,10 @@ pub mod recover;
 pub mod retention;
 pub mod series;
 pub mod shard;
-pub mod snapshot;
-pub mod staging;
 pub mod wal;
 pub mod watermark;
 
-pub use column::{AggScan, BlockSummary, DecodeScratch, NumericSummary, RunSlice, ScanItem};
+pub use column::{AggScan, BlockSummary, DecodeScratch, NumericSummary, ScanItem};
 pub use cost::{CostParams, QueryCost, COST_WORDS};
 pub use db::{Db, DbConfig, DbStats};
 pub use field::FieldValue;
@@ -75,6 +73,5 @@ pub use query::{Aggregation, Fill, Query, ResultSet};
 pub use recover::RecoveryReport;
 pub use retention::{ContinuousQuery, RetentionPolicy, TierConfig, TierReport};
 pub use series::{FieldId, SeriesId, SeriesKey};
-pub use staging::WriteStager;
 pub use wal::{WalStatus, WalTuning};
 pub use watermark::MeasurementMark;

@@ -4,9 +4,9 @@
 //! directory holds two kinds of files, both written by the engine:
 //!
 //! * `shard-<start>.seg` — immutable cold-tier segment files (compressed
-//!   line protocol behind [`crate::snapshot`]'s `MSEG1` header), written by
-//!   tiering with an fsync-then-rename protocol. Loaded first; a corrupt
-//!   segment file is a hard error, not a torn tail.
+//!   line protocol behind an `MSEG1` header, see `encode_segment`),
+//!   written by tiering with an fsync-then-rename protocol. Loaded first;
+//!   a corrupt segment file is a hard error, not a torn tail.
 //! * `wal-<seq>.log` — write-ahead-log segments ([`crate::wal`]). Replayed
 //!   in sequence order after the cold shards load. Points whose shard is
 //!   already covered by a segment file are skipped (their WAL segment
@@ -37,8 +37,8 @@
 use crate::db::{Db, DbConfig};
 use crate::lineproto;
 use crate::point::DataPoint;
-use crate::snapshot;
 use crate::wal::{self, Wal, FRAME_HEADER, MAX_RECORD_BYTES, SEGMENT_MAGIC};
+use monster_compress::Level;
 use monster_util::{Error, Result};
 use std::collections::HashSet;
 use std::path::Path;
@@ -66,6 +66,32 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Whether a torn tail was found (and truncated) at all.
     pub torn_tail: bool,
+}
+
+/// Magic bytes opening an immutable per-shard segment file (`shard-<start>.seg`),
+/// written by tiering ([`Db::tier_cold_shards`]) and loaded first during
+/// recovery.
+const SEG_MAGIC: &[u8] = b"MSEG1\n";
+
+/// Encode line-protocol `text` as an immutable segment file body.
+pub(crate) fn encode_segment(text: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(text.len() / 4 + SEG_MAGIC.len());
+    out.extend_from_slice(SEG_MAGIC);
+    out.extend_from_slice(&monster_compress::compress(text.as_bytes(), Level::default()));
+    out
+}
+
+/// Decode an immutable segment file back into points. Segment files are
+/// written with an fsync-then-rename protocol, so corruption here is real
+/// data loss and surfaces as an error (unlike a torn WAL tail).
+fn decode_segment(bytes: &[u8]) -> Result<Vec<DataPoint>> {
+    let body = bytes
+        .strip_prefix(SEG_MAGIC)
+        .ok_or_else(|| Error::Corrupt("not a MSEG1 segment file".into()))?;
+    let text = monster_compress::decompress(body)?;
+    let text = String::from_utf8(text)
+        .map_err(|_| Error::Corrupt("segment payload is not UTF-8".into()))?;
+    lineproto::parse_batch(&text)
 }
 
 /// Parse `shard-<start>.seg` file names.
@@ -108,7 +134,7 @@ impl Db {
         let mut covered: HashSet<i64> = HashSet::new();
         for &start in &seg_starts {
             let bytes = std::fs::read(dir.join(format!("shard-{start}.seg")))?;
-            let points = snapshot::decode_segment(&bytes)?;
+            let points = decode_segment(&bytes)?;
             for chunk in points.chunks(10_000) {
                 db.write_batch(chunk)?;
             }
@@ -299,6 +325,7 @@ pub fn wal_extent(dir: impl AsRef<Path>) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Aggregation, Query};
     use crate::wal::WalTuning;
     use monster_util::EpochSecs;
     use std::path::PathBuf;
@@ -461,6 +488,115 @@ mod tests {
         assert!(!report.torn_tail);
         assert_eq!(db2.stats().points, 2, "the record after the bad one still replays");
         drop(db2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A durable database with two measurements (float and string
+    /// fields) spread over nine one-hour shards, every shard then tiered
+    /// into a `shard-*.seg` file.
+    fn tiered(dir: &Path) -> (Db, DbConfig) {
+        let config = DbConfig {
+            shard_duration: 3600,
+            tiering: Some(crate::TierConfig {
+                hot_secs: 3600,
+                cold_disk: monster_sim::DiskModel::HDD,
+            }),
+            ..DbConfig::default()
+        };
+        let (db, _) = Db::recover(config, dir).unwrap();
+        let mut batch = Vec::new();
+        for i in 0..500i64 {
+            batch.push(
+                DataPoint::new("Power", EpochSecs::new(i * 60))
+                    .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
+                    .tag("Label", "NodePower")
+                    .field_f64("Reading", 250.0 + (i % 37) as f64),
+            );
+            if i % 10 == 0 {
+                batch.push(
+                    DataPoint::new("NodeJobs", EpochSecs::new(i * 60))
+                        .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
+                        .field_str("JobList", format!("['{}']", 1_290_000 + i)),
+                );
+            }
+        }
+        db.write_batch(&batch).unwrap();
+        let report = db.tier_cold_shards(EpochSecs::new(40_000)).unwrap();
+        assert_eq!(report.shards_tiered, 9);
+        assert_eq!(report.points_tiered, db.stats().points);
+        (db, config)
+    }
+
+    fn seg_files(dir: &Path) -> Vec<PathBuf> {
+        let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.file_name().and_then(|n| n.to_str()).and_then(parse_seg_name).is_some())
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn tiered_segments_restore_float_and_string_fields() {
+        let dir = tmp_dir("seg-types");
+        let (db, config) = tiered(&dir);
+        assert_eq!(seg_files(&dir).len(), 9);
+        let (restored, report) = Db::recover(config, &dir).unwrap();
+        assert_eq!(report.segment_files_loaded, 9);
+        assert_eq!(report.segment_points, db.stats().points);
+        assert_eq!(report.replayed_points, 0, "every WAL point is covered by a segment");
+        assert_eq!(restored.stats().points, db.stats().points);
+        assert_eq!(restored.stats().cardinality, db.stats().cardinality);
+        for (m, f) in [("Power", "Reading"), ("NodeJobs", "JobList")] {
+            let q = Query::select(m, f, EpochSecs::new(0), EpochSecs::new(500 * 60));
+            assert_eq!(restored.query(&q).unwrap().0, db.query(&q).unwrap().0, "{m}.{f}");
+        }
+        drop((db, restored));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Zone-map summaries are rebuilt on restore: a restored-and-compacted
+    /// engine answers windowed aggregations from summaries, identically.
+    #[test]
+    fn summaries_rebuild_after_restore_from_segments() {
+        let dir = tmp_dir("seg-summaries");
+        let (db, config) = tiered(&dir);
+        let (restored, _) = Db::recover(config, &dir).unwrap();
+        restored.compact();
+        let q = Query::select("Power", "Reading", EpochSecs::new(0), EpochSecs::new(500 * 60))
+            .aggregate(Aggregation::Mean)
+            .group_by_time(3600);
+        let (rs_a, cost_a) = db.query(&q).unwrap();
+        let (rs_b, cost_b) = restored.query(&q).unwrap();
+        assert_eq!(rs_a, rs_b);
+        assert!(cost_b.blocks_summarized > 0, "{cost_b:?}");
+        assert_eq!(cost_a.blocks_summarized, cost_b.blocks_summarized);
+        drop((db, restored));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Segment files are fsync-renamed, so damage to one is real data
+    /// loss: recovery fails instead of truncating like a torn WAL tail.
+    #[test]
+    fn corrupt_segment_fails_recovery() {
+        let dir = tmp_dir("seg-corrupt");
+        let (db, config) = tiered(&dir);
+        drop(db);
+        let victim = seg_files(&dir)[4].clone();
+        let good = std::fs::read(&victim).unwrap();
+
+        let mut flipped = good.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0xFF;
+        std::fs::write(&victim, &flipped).unwrap();
+        assert!(Db::recover(config, &dir).is_err(), "flipped byte must fail recovery");
+
+        std::fs::write(&victim, b"garbage").unwrap();
+        assert!(Db::recover(config, &dir).is_err(), "bad magic must fail recovery");
+
+        std::fs::write(&victim, &good).unwrap();
+        assert!(Db::recover(config, &dir).is_ok(), "the intact file recovers again");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,9 +30,9 @@
 //! boundary for tests and benches.
 //!
 //! The appender takes one private mutex, reuses one frame buffer, and
-//! performs zero heap allocations in the steady state — the staging path's
-//! zero-alloc guarantee (`tests/alloc_steady_state.rs`) holds with the WAL
-//! enabled.
+//! performs zero heap allocations in the steady state: a durable
+//! `Db::write_batch` allocates no more per point than a memory-only one
+//! (`tests/alloc_steady_state.rs`).
 //!
 //! # Segments and reclamation
 //!

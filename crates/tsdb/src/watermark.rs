@@ -17,10 +17,9 @@
 //!   and closed windows over this measurement must be re-read.
 //!
 //! Marks are updated *after* shard data is applied (end of
-//! `Db::write_batch`, and in `WriteStager::flush` after runs publish) and
-//! snapshotted by readers *before* they execute a query, so a concurrent
-//! write can at worst cause a spurious invalidation — never a stale entry
-//! that still validates.
+//! `Db::write_batch`) and snapshotted by readers *before* they execute a
+//! query, so a concurrent write can at worst cause a spurious
+//! invalidation — never a stale entry that still validates.
 //!
 //! Retention and measurement drops remove data without advancing any
 //! watermark, so they bump a coarse [`Db::retention_epoch`] counter that

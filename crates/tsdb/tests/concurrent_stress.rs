@@ -1,5 +1,5 @@
 //! Stress test for the sharded-lock engine: concurrent writers, queriers,
-//! retention enforcement, and snapshot export all running against one
+//! retention enforcement, and full-database export walks all running against one
 //! database, with point-count conservation checked at the end.
 //!
 //! The conservation invariant: every point a writer successfully wrote is
@@ -9,7 +9,6 @@
 //! ([`Db::recompute_stats`]).
 
 use monster_tsdb::query::Aggregation;
-use monster_tsdb::snapshot;
 use monster_tsdb::{DataPoint, Db, DbConfig, Query};
 use monster_util::EpochSecs;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +26,7 @@ fn point(writer: usize, i: usize) -> DataPoint {
 }
 
 #[test]
-fn writers_queriers_retention_and_snapshots_conserve_points() {
+fn writers_queriers_retention_and_exports_conserve_points() {
     let db = Arc::new(Db::new(DbConfig {
         shard_duration: SHARD,
         scan_workers: 4,
@@ -87,7 +86,7 @@ fn writers_queriers_retention_and_snapshots_conserve_points() {
                 }
             });
         }
-        // Snapshot exporter: full-database walks while everything churns.
+        // Exporter: full-database walks while everything churns.
         {
             let db = Arc::clone(&db);
             s.spawn(move || {
@@ -95,7 +94,7 @@ fn writers_queriers_retention_and_snapshots_conserve_points() {
                     // The walk must complete without deadlock or panic
                     // while shards churn; its point count is a moving
                     // target, so only the final (quiesced) walk is checked.
-                    let _ = snapshot::write_snapshot(&db).unwrap();
+                    db.export(|_, _, _, _| {}).unwrap();
                     std::thread::yield_now();
                 }
             });
@@ -127,7 +126,8 @@ fn writers_queriers_retention_and_snapshots_conserve_points() {
         rs.series.iter().flat_map(|s| s.points.iter()).filter_map(|(_, v)| v.as_f64()).sum();
     assert_eq!(counted as usize, live);
 
-    // A final snapshot walk sees the same live set too.
-    let (_bytes, snap) = snapshot::write_snapshot(&db).unwrap();
-    assert_eq!(snap.points, live);
+    // A final export walk sees the same live set too.
+    let mut exported = 0usize;
+    db.export(|_, _, _, _| exported += 1).unwrap();
+    assert_eq!(exported, live);
 }

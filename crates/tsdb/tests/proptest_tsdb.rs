@@ -159,33 +159,6 @@ proptest! {
         }
     }
 
-    /// Staged-then-flushed ingest is indistinguishable from the locked
-    /// write path: same query results, same stats.
-    #[test]
-    fn staging_equals_write_batch(
-        pts in prop::collection::vec((0i64..200_000, -1e6f64..1e6), 1..120),
-        threshold in 1usize..64,
-    ) {
-        let staged_db = Db::new(DbConfig { shard_duration: 50_000, ..DbConfig::default() });
-        let locked_db = Db::new(DbConfig { shard_duration: 50_000, ..DbConfig::default() });
-        let batch: Vec<DataPoint> = pts.iter().enumerate().map(|(i, &(t, v))| {
-            DataPoint::new("m", EpochSecs::new(t))
-                .tag("n", if i % 3 == 0 { "a" } else { "b" })
-                .field_f64("v", v)
-        }).collect();
-        let mut stager = staged_db.stager_with_capacity(threshold);
-        for chunk in batch.chunks(7) {
-            stager.stage_batch(chunk).unwrap();
-            locked_db.write_batch(chunk).unwrap();
-        }
-        stager.flush().unwrap();
-        prop_assert_eq!(staged_db.stats(), locked_db.stats());
-        let q = Query::select("m", "v", EpochSecs::new(0), EpochSecs::new(200_000));
-        let (rs_s, _) = staged_db.query(&q).unwrap();
-        let (rs_l, _) = locked_db.query(&q).unwrap();
-        prop_assert_eq!(rs_s, rs_l);
-    }
-
     /// count() over any windowing equals the number of in-range points.
     #[test]
     fn windowed_count_conserves_points(

@@ -123,34 +123,30 @@ proptest! {
     }
 }
 
-/// Staged ingest replays bit-for-bit: a stager renders its flush in
-/// shard-sorted run order, which is exactly how `write_batch` re-groups
-/// the record at replay — so a recovered database answers queries
-/// byte-identically to an uninterrupted twin staged the same way.
+/// Out-of-order, mixed-type ingest replays bit-for-bit: each
+/// `write_batch` is one WAL record, re-grouped at replay exactly as it was
+/// grouped live — so a recovered database answers queries byte-identically
+/// to an uninterrupted twin fed the same batches.
 #[test]
-fn staged_ingest_survives_restart_bit_for_bit() {
-    let dir = fresh_dir("staged");
+fn out_of_order_mixed_ingest_survives_restart_bit_for_bit() {
+    let dir = fresh_dir("mixed");
     let config = DbConfig { shard_duration: 1000, ..DbConfig::default() };
     let (db, _) = Db::recover(config, &dir).unwrap();
     let twin = Db::new(config);
-    {
-        let mut stager = db.stager_with_capacity(64);
-        let mut twin_stager = twin.stager_with_capacity(64);
-        for i in 0..300i64 {
-            let batch = vec![
-                DataPoint::new("Power", EpochSecs::new(i * 13 % 5000))
-                    .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
-                    .field_f64("Reading", 250.0 + i as f64)
-                    .field_i64("Health", i % 3),
-                DataPoint::new("NodeJobs", EpochSecs::new(i * 13 % 5000))
-                    .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
-                    .field_str("JobList", format!("['{}']", 1_290_000 + i)),
-            ];
-            stager.stage_batch(&batch).unwrap();
-            twin_stager.stage_batch(&batch).unwrap();
-        }
-        // Drop publishes and (on the durable db) forces a group commit.
+    for i in 0..300i64 {
+        let batch = vec![
+            DataPoint::new("Power", EpochSecs::new(i * 13 % 5000))
+                .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
+                .field_f64("Reading", 250.0 + i as f64)
+                .field_i64("Health", i % 3),
+            DataPoint::new("NodeJobs", EpochSecs::new(i * 13 % 5000))
+                .tag("NodeId", format!("10.101.1.{}", i % 4 + 1))
+                .field_str("JobList", format!("['{}']", 1_290_000 + i)),
+        ];
+        db.write_batch(&batch).unwrap();
+        twin.write_batch(&batch).unwrap();
     }
+    db.wal_sync().unwrap();
     drop(db);
 
     let (recovered, report) = Db::recover(config, &dir).unwrap();
@@ -165,6 +161,59 @@ fn staged_ingest_survives_restart_bit_for_bit() {
         assert_eq!(a, b, "recovered {m}.{f} diverged from the uninterrupted twin");
     }
     drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// WAL format guard: one `write_batch` on a durable database appends
+/// exactly one record, and its payload is the batch rendered one
+/// line-protocol line per point (`lineproto::encode` plus a newline). The
+/// benchmark's `disk_bytes_per_point` is this format's size; a change to
+/// it must show up here first.
+#[test]
+fn one_write_batch_appends_one_line_per_point_record() {
+    use monster_tsdb::wal::{FRAME_HEADER, SEGMENT_MAGIC};
+    let dir = fresh_dir("format");
+    let (db, _) = Db::recover(DbConfig::default(), &dir).unwrap();
+    // A collector-shaped interval: many nodes, several fields per point,
+    // tags and a string field that need escaping.
+    let batch: Vec<DataPoint> = (0..40)
+        .map(|n| {
+            DataPoint::new("Thermal", EpochSecs::new(1_587_340_800))
+                .tag("NodeId", format!("10.101.{}.{}", n / 10 + 1, n % 10 + 1))
+                .tag("Label", "CPU1 Temp")
+                .field_f64("Reading", 40.0 + n as f64 * 0.5)
+                .field_i64("Health", n % 3)
+                .field_str("Status", "OK, \"nominal\"")
+        })
+        .collect();
+    let before = db.wal_status().unwrap();
+    db.write_batch(&batch).unwrap();
+    let after = db.wal_status().unwrap();
+    assert_eq!(after.appended_records, before.appended_records + 1);
+
+    let expected: String =
+        batch.iter().map(|p| monster_tsdb::lineproto::encode(p) + "\n").collect();
+    let lines_len: usize = batch.iter().map(|p| monster_tsdb::lineproto::encode(p).len() + 1).sum();
+    assert_eq!(expected.len(), lines_len);
+    assert_eq!(
+        after.active_segment_bytes - before.active_segment_bytes,
+        FRAME_HEADER + lines_len,
+        "one frame header plus one line per point"
+    );
+
+    db.wal_sync().unwrap();
+    let wal_file = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "log"))
+        .expect("a WAL segment file");
+    let bytes = std::fs::read(wal_file).unwrap();
+    assert_eq!(bytes.len(), SEGMENT_MAGIC.len() + FRAME_HEADER + lines_len);
+    let at = SEGMENT_MAGIC.len();
+    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    assert_eq!(len, lines_len);
+    assert_eq!(&bytes[at + FRAME_HEADER..], expected.as_bytes());
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 

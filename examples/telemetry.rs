@@ -181,36 +181,6 @@ fn main() {
         println!("  {line}");
     }
 
-    // Batched ingest now rides a WriteStager: points accumulate in
-    // per-(shard, series, field) run buffers outside any lock, then
-    // publish whole runs under a short shard-lock critical section. The
-    // depth gauge counts points currently staged (zero again after every
-    // flush); the flush histogram records how many points each publish
-    // moved in one lock acquisition.
-    {
-        let mut stager = poll.db().stager();
-        let t0 = poll.now();
-        let demo: Vec<monster::tsdb::DataPoint> = (0..240)
-            .map(|i| {
-                monster::tsdb::DataPoint::new("StagingDemo", t0 + i)
-                    .tag("NodeId", "10.101.1.1")
-                    .field_f64("Reading", 250.0 + (i % 40) as f64)
-            })
-            .collect();
-        for chunk in demo.chunks(60) {
-            stager.stage_batch(chunk).expect("stage");
-        }
-        let depth = monster::obs::gauge("monster_tsdb_staging_depth");
-        println!("\n== Ingest staging (WriteStager) ==");
-        println!("staged before flush                     {} points", depth.get());
-        stager.flush().expect("flush");
-        println!("staged after flush                      {} points", depth.get());
-    }
-    let text = monster::obs::global().text_exposition();
-    for name in ["monster_tsdb_staging_flushes_total", "monster_tsdb_staging_flush_points_sum"] {
-        println!("{name:40} {}", monster::obs::sample(&text, name).unwrap_or(0.0));
-    }
-
     // Latency histograms carry OpenMetrics exemplars: the bucket line
     // remembers the trace id of the last observation that landed in it,
     // so a dashboard spike links straight to the sweep or request that

@@ -7,12 +7,11 @@
 //! monster demo  [--nodes N] [--intervals N]    collect + query a deployment
 //! monster serve [--nodes N] [--port P]         run the Metrics Builder API
 //! monster query [--nodes N] <influxql>         run one query over demo data
-//! monster watch [--nodes N] [--intervals N]    collect with anomaly alerts
+//! monster watch [--nodes N] [--intervals N]    collect, print alert transitions
 //! monster top   [--nodes N] [--intervals N]    fleet dashboard snapshots
 //! monster report [--nodes N] [--hours H]       per-user utilization report
 //! ```
 
-use monster::analysis::{AnomalyConfig, AnomalyDetector};
 use monster::builder::{BuilderRequest, ExecMode};
 use monster::redfish::bmc::BmcConfig;
 use monster::tsdb::Aggregation;
@@ -158,29 +157,35 @@ fn cmd_query(flags: &HashMap<String, String>, positional: &[String]) -> ExitCode
 fn cmd_watch(flags: &HashMap<String, String>) -> ExitCode {
     let nodes = flag_usize(flags, "nodes", 16);
     let intervals = flag_usize(flags, "intervals", 30);
-    println!("monster watch: {nodes} nodes, {intervals} intervals, anomaly alerts on power\n");
+    println!("monster watch: {nodes} nodes, {intervals} intervals, alerts from collected data\n");
     let mut m = deployment(nodes);
-    let mut detector =
-        AnomalyDetector::new(AnomalyConfig { warmup: 5, ..AnomalyConfig::default() });
-    let mut alerts = 0;
+    let engine = m.alerts().cloned().expect("alerting is on by default");
+    let (mut raised, mut cleared) = (0, 0);
     for _ in 0..intervals {
         let s = m.run_interval().expect("interval");
-        for node in m.node_ids() {
-            let power = m.cluster().sensors(node).expect("node").power;
-            if let Some(ev) = detector.observe(&format!("{}/power", node.label()), s.time, power) {
-                alerts += 1;
-                println!(
-                    "  [{}] {} {}: {:.0} W (expected ~{:.0} W)",
-                    ev.time,
-                    if ev.raised { "ALERT" } else { "clear" },
-                    ev.signal,
-                    ev.value,
-                    ev.expected
-                );
-            }
+        if s.alerts.raised + s.alerts.resolved == 0 {
+            continue;
         }
+        // The engine stamps transitions with the interval's virtual time.
+        let raises = engine.active().into_iter().filter(|a| a.raised_at == s.time);
+        let clears = engine.history().into_iter().filter(|a| a.resolved_at == Some(s.time));
+        for (verb, a) in raises.map(|a| ("RAISE", a)).chain(clears.map(|a| ("clear", a))) {
+            println!(
+                "  [{}] {verb} {:<8} {}: {}",
+                s.time,
+                a.severity.name(),
+                a.key.rule.name(),
+                a.description
+            );
+        }
+        raised += s.alerts.raised;
+        cleared += s.alerts.resolved;
     }
-    println!("\n{alerts} alarm transitions over {intervals} intervals");
+    println!(
+        "\n{} alert transitions over {intervals} intervals ({raised} raised, {cleared} cleared, {} active)",
+        raised + cleared,
+        engine.active().len()
+    );
     ExitCode::SUCCESS
 }
 

@@ -219,3 +219,18 @@ fn alerts_api_is_404_when_alerting_disabled() {
         assert_eq!(resp.status, Status::NOT_FOUND, "{path}");
     }
 }
+
+/// `monster watch` prints the alert engine's transitions from collected
+/// data and ends with a one-line summary.
+#[test]
+fn watch_cli_runs_on_the_alert_engine() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_monster"))
+        .args(["watch", "--nodes", "8", "--intervals", "12"])
+        .output()
+        .expect("run the monster binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "exit {:?}\n{stdout}", out.status);
+    let summary = stdout.lines().last().expect("summary line");
+    assert!(summary.contains(" alert transitions over 12 intervals ("), "{stdout}");
+    assert!(summary.ends_with(" active)"), "{stdout}");
+}

@@ -1,5 +1,5 @@
 //! Integration: the two §VI-era upgrades working together — telemetry-rate
-//! collection feeding continuous-query roll-ups — plus snapshot durability
+//! collection feeding continuous-query roll-ups — plus durable storage
 //! across a simulated storage-host restart, and the self-monitoring layer
 //! observed end-to-end (in-process counter deltas and a live `/metrics`
 //! scrape over a real socket).
@@ -8,7 +8,7 @@ use monster::builder::{BuilderRequest, ExecMode};
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::telemetry::{TelemetryConfig, TelemetryService};
-use monster::tsdb::{snapshot, Aggregation, DbConfig};
+use monster::tsdb::Aggregation;
 use monster::{obs, Monster, MonsterConfig};
 use std::sync::Mutex;
 
@@ -81,28 +81,46 @@ fn telemetry_plus_rollups_compose() {
 
 #[test]
 fn snapshot_survives_restart_and_continues() {
-    let mut m = deployment(3);
+    // A durable deployment: every batch is logged under `data_dir`.
+    let dir = std::env::temp_dir().join(format!("monster-it-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = MonsterConfig {
+        nodes: 3,
+        bmc: BmcConfig { failure_rate: 0.0, stall_rate: 0.0, ..BmcConfig::default() },
+        data_dir: Some(dir.clone()),
+        ..MonsterConfig::default()
+    };
+    let mut m = Monster::new(config.clone());
     m.run_intervals_bulk(20);
     let before = m.db().stats();
-
-    // "Storage host restart": snapshot, new empty DB, restore.
-    let dir = std::env::temp_dir().join(format!("monster-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("restart.mtsdb");
-    snapshot::save_to_file(m.db(), &path).unwrap();
-    let restored = snapshot::load_from_file(&path, DbConfig::default()).unwrap();
-    assert_eq!(restored.stats().points, before.points);
-    assert_eq!(restored.stats().cardinality, before.cardinality);
-
-    // The restored instance answers the same queries.
     let q = format!(
         "SELECT mean(Reading) FROM Power WHERE time >= {} AND time < {} GROUP BY time(5m)",
         (m.now() - 1200).as_secs(),
         m.now().as_secs()
     );
     let (a, _) = m.db().query_str(&q).unwrap();
-    let (b, _) = restored.query_str(&q).unwrap();
+    assert!(!a.series.is_empty());
+
+    // "Storage host restart": the process goes away, a new deployment
+    // opens the same directory and recovers the history.
+    drop(m);
+    let mut restored = Monster::new(config);
+    let report = restored.recovery().expect("durable deployment reports recovery");
+    assert_eq!(report.records_failed, 0);
+    assert_eq!(restored.db().stats().points, before.points);
+    assert_eq!(restored.db().stats().cardinality, before.cardinality);
+
+    // The restored instance answers the same queries.
+    let (b, _) = restored.db().query_str(&q).unwrap();
     assert_eq!(a, b);
+
+    // And continues: recovery re-attached the WAL, so new collection is
+    // logged on top of the recovered history.
+    let records = restored.db().wal_status().unwrap().appended_records;
+    restored.run_intervals_bulk(1);
+    assert!(restored.db().stats().points > before.points);
+    assert!(restored.db().wal_status().unwrap().appended_records > records);
+    drop(restored);
     std::fs::remove_dir_all(&dir).ok();
 }
 
