@@ -31,6 +31,7 @@
 //! trial count for CI smoke runs; the committed `BENCH_tsdb.json` comes
 //! from a full run.
 
+use monster_bench::storm::percentile;
 use monster_json::{jobj, Value};
 use monster_tsdb::query::Aggregation;
 use monster_tsdb::{DataPoint, Db, DbConfig, Query};
@@ -158,14 +159,6 @@ fn run_multi_wall(
     let wall = start.elapsed().as_secs_f64();
     let pinned = per_thread.iter().all(|&(_, p)| p);
     (points as f64 / wall, per_thread.into_iter().map(|(s, _)| s).collect(), pinned)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One swept writer count's results, wall and modelled side by side.

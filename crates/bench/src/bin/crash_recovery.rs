@@ -24,6 +24,7 @@
 //! and the kill matrix (8 seeded offsets) for CI smoke runs; the
 //! committed `BENCH_recovery.json` comes from a full run.
 
+use monster_bench::storm::percentile;
 use monster_json::jobj;
 use monster_tsdb::query::Aggregation;
 use monster_tsdb::recover::{copy_dir_killed_at, wal_extent};
@@ -38,14 +39,6 @@ struct Workload {
     days: i64,
     cadence_secs: i64,
     kills: usize,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One series-hour of samples — the uniform batch the accounting checks

@@ -23,6 +23,7 @@
 //! for CI smoke runs; the committed `BENCH_query.json` comes from a full
 //! run.
 
+use monster_bench::storm::percentile;
 use monster_json::jobj;
 use monster_tsdb::query::Aggregation;
 use monster_tsdb::{DataPoint, Db, DbConfig, Query, QueryCost};
@@ -36,14 +37,6 @@ struct Workload {
     days: i64,
     cadence_secs: i64,
     iterations: usize,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One node-day of samples at the workload cadence.

@@ -175,7 +175,8 @@ pub fn sample_batch(nodes: &[NodeId], from: i64, to: i64) -> Vec<DataPoint> {
     batch
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
+/// Rounded-rank percentile over an ascending-sorted slice: the element at
+/// index `round((len - 1) * p)`, or 0 when empty.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -14,36 +14,27 @@
 //! (`monster_builder_cost_estimate_ratio{stage=...}`,
 //! `monster_builder_slow_queries_total`).
 //!
-//! # Hot-path design: word-atomic slots, no locks, no allocation
+//! # Hot path: one short lock, no allocation
 //!
-//! The warm cache-hit path serves in under a microsecond, so the recorder
-//! budget is tens of nanoseconds. Each ring slot is a fixed array of
-//! `AtomicU64` words guarded by a per-slot seqlock version counter:
-//!
-//! * a writer claims the slot with one CAS (odd version = write in
-//!   progress), stores only the words its disposition needs with relaxed
-//!   ordering, and releases with an even version — no mutex, no heap;
-//! * a reader (debug endpoints; rare) snapshots the words and retries if
-//!   the version moved underneath it. Because every word is an atomic,
-//!   a torn read is impossible by construction — the version check only
-//!   guards *cross-word* consistency;
-//! * a writer that loses the claim CAS (another writer lapped the ring
-//!   onto the same slot) drops its record and bumps
-//!   `monster_builder_qlog_dropped_total` rather than spin.
-//!
-//! Slots are recycled in place — the ring never allocates after
-//! construction, which is what keeps recording on the warm cache-hit path
-//! at zero allocations (asserted by the counting-allocator test in
-//! `tests/cache_zero_copy.rs`). Wall timings use raw TSC reads on x86-64
-//! (two orders of magnitude cheaper than a `clock_gettime` pair),
-//! calibrated once per process against [`std::time::Instant`].
+//! The warm cache-hit path serves in about a microsecond, so the recorder
+//! budget is on the order of 100 ns. The ring is one `Mutex` over
+//! `capacity` records built at construction: [`QueryRecorder::record`]
+//! takes the lock once, overwrites the slot at `head % capacity` and
+//! bumps `head`. Slot strings are reserved to [`TENANT_BYTES`] /
+//! [`URL_BYTES`] up front and longer values are cut at a char boundary,
+//! so recycling a slot never allocates — asserted by the
+//! counting-allocator test in `tests/cache_zero_copy.rs`. Readers (the
+//! debug endpoints; rare) clone matching records under the same lock, so
+//! every record they see is whole. Wall timings use raw TSC reads on
+//! x86-64 (two orders of magnitude cheaper than a `clock_gettime` pair),
+//! calibrated once per process against [`std::time::Instant`]; DESIGN.md
+//! §17 has the measurements behind both choices.
 
 use monster_json::{jobj, Value};
 use monster_obs::{SpanId, TraceId};
-use monster_tsdb::{QueryCost, COST_WORDS};
+use monster_tsdb::QueryCost;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -131,28 +122,6 @@ pub enum Disposition {
 }
 
 impl Disposition {
-    fn code(self) -> u64 {
-        match self {
-            Disposition::Hit => 0,
-            Disposition::Miss => 1,
-            Disposition::Coalesced => 2,
-            Disposition::Negative => 3,
-            Disposition::Rejected => 4,
-            Disposition::Error => 5,
-        }
-    }
-
-    fn from_code(c: u64) -> Disposition {
-        match c {
-            0 => Disposition::Hit,
-            1 => Disposition::Miss,
-            2 => Disposition::Coalesced,
-            3 => Disposition::Negative,
-            4 => Disposition::Rejected,
-            _ => Disposition::Error,
-        }
-    }
-
     /// Lower-case wire name (`hit`, `miss`, `coalesced`, `negative`,
     /// `rejected`, `error`) — also what `?disposition=` filters accept.
     pub fn as_str(self) -> &'static str {
@@ -194,24 +163,6 @@ pub enum CacheVerdict {
 }
 
 impl CacheVerdict {
-    fn code(self) -> u64 {
-        match self {
-            CacheVerdict::Valid => 0,
-            CacheVerdict::Negative => 1,
-            CacheVerdict::Absent => 2,
-            CacheVerdict::Invalidated => 3,
-        }
-    }
-
-    fn from_code(c: u64) -> CacheVerdict {
-        match c {
-            0 => CacheVerdict::Valid,
-            1 => CacheVerdict::Negative,
-            3 => CacheVerdict::Invalidated,
-            _ => CacheVerdict::Absent,
-        }
-    }
-
     /// Wire name used by `/debug/requests` and `?explain=true`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -240,26 +191,6 @@ pub enum AdmissionDecision {
 }
 
 impl AdmissionDecision {
-    fn code(self) -> u64 {
-        match self {
-            AdmissionDecision::Disabled => 0,
-            AdmissionDecision::Cheap => 1,
-            AdmissionDecision::Charged => 2,
-            AdmissionDecision::RejectedOverBudget => 3,
-            AdmissionDecision::RejectedTenantBudget => 4,
-        }
-    }
-
-    fn from_code(c: u64) -> AdmissionDecision {
-        match c {
-            1 => AdmissionDecision::Cheap,
-            2 => AdmissionDecision::Charged,
-            3 => AdmissionDecision::RejectedOverBudget,
-            4 => AdmissionDecision::RejectedTenantBudget,
-            _ => AdmissionDecision::Disabled,
-        }
-    }
-
     /// Wire name used by `/debug/requests` and `?explain=true`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -325,7 +256,7 @@ pub struct CostPair {
     pub actual_ns: u64,
 }
 
-/// One decoded flight-recorder record — the owned, reader-side form.
+/// One flight-recorder record: a ring slot, and what readers get back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Monotone sequence number (also the ring-recycling order).
@@ -475,7 +406,7 @@ pub struct Draft<'a> {
     /// Span id of the request's server-side span.
     pub span: SpanId,
     /// Normalized plan fingerprint ([`fingerprint64`] of `url`), or 0 to
-    /// let the ring decoder derive it from the stored key at read time.
+    /// have it hashed only where a record is read or copied out.
     pub fingerprint: u64,
     /// Final disposition.
     pub disposition: Disposition,
@@ -524,8 +455,9 @@ impl<'a> Draft<'a> {
         }
     }
 
-    /// Materialize the owned record the `?explain=true` envelope embeds
-    /// (the ring stores the same data in word form).
+    /// Materialize the owned record the `?explain=true` envelope and the
+    /// slow log keep: whole strings, and the fingerprint hashed here if
+    /// the draft left it 0.
     pub fn to_record(&self, seq: u64, slow: bool) -> RequestRecord {
         RequestRecord {
             seq,
@@ -533,10 +465,14 @@ impl<'a> Draft<'a> {
             status: self.status,
             trace: self.trace,
             span: self.span,
-            fingerprint: self.fingerprint,
+            fingerprint: if self.fingerprint == 0 {
+                fingerprint64(self.url)
+            } else {
+                self.fingerprint
+            },
             tenant: self.tenant.to_string(),
             url: self.url.to_string(),
-            truncated: self.tenant.len() > TENANT_BYTES || self.url.len() > URL_BYTES,
+            truncated: self.truncated(),
             explain: self.explain,
             slow,
             stages_ns: self.stages_ns,
@@ -549,14 +485,59 @@ impl<'a> Draft<'a> {
             admission: self.admission,
         }
     }
+
+    /// Overwrite a ring slot with this draft, field by field. The strings
+    /// are cut to the slot's capacity, so this never allocates. The slot
+    /// keeps only the first [`URL_BYTES`] of the key, so a longer key is
+    /// hashed whole here: every view of the request then carries the same
+    /// fingerprint.
+    fn store(&self, slot: &mut RequestRecord, seq: u64, slow: bool) {
+        slot.seq = seq;
+        slot.disposition = self.disposition;
+        slot.status = self.status;
+        slot.trace = self.trace;
+        slot.span = self.span;
+        slot.fingerprint = if self.fingerprint == 0 && self.url.len() > URL_BYTES {
+            fingerprint64(self.url)
+        } else {
+            self.fingerprint
+        };
+        store_clipped(&mut slot.tenant, self.tenant, TENANT_BYTES);
+        store_clipped(&mut slot.url, self.url, URL_BYTES);
+        slot.truncated = self.truncated();
+        slot.explain = self.explain;
+        slot.slow = slow;
+        slot.stages_ns = self.stages_ns;
+        slot.total_ns = self.total_ns;
+        slot.vtime_execute_ns = self.vtime_execute_ns;
+        slot.vtime_encode_ns = self.vtime_encode_ns;
+        slot.bytes_out = self.bytes_out;
+        slot.verdict = self.verdict;
+        // A hit has neither block: writing just the `None` tags keeps its
+        // store off the cache lines a full copy of each would touch.
+        match self.cost {
+            Some(cost) => slot.cost = Some(cost),
+            None => slot.cost = None,
+        }
+        match self.admission {
+            Some(adm) => slot.admission = Some(adm),
+            None => slot.admission = None,
+        }
+    }
+
+    fn truncated(&self) -> bool {
+        self.tenant.len() > TENANT_BYTES || self.url.len() > URL_BYTES
+    }
 }
 
 /// The normalized plan fingerprint: FNV-1a folded over 8-byte chunks, so
 /// hashing an 80-byte key costs ~10 multiplies. Identical normalized keys
 /// — and therefore identical plans — collapse to one value whatever their
-/// disposition. The hot path never computes it: ring records store 0 and
-/// the decoder derives it from the stored key at read time; only the
-/// opt-in explain path (and the slow-log pin) hash eagerly.
+/// disposition. The hot path does not compute it for keys that fit a
+/// slot: the ring stores 0 and readers derive it from the stored key.
+/// A key longer than [`URL_BYTES`] is hashed whole at record time, since
+/// its slot keeps only a prefix; [`Draft::to_record`] (the explain
+/// envelope, the slow-log pin) hashes the whole key too.
 pub fn fingerprint64(s: &str) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -574,107 +555,60 @@ pub fn fingerprint64(s: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Slot layout
-// ---------------------------------------------------------------------------
-
-const TENANT_WORDS: usize = 3;
-const URL_WORDS: usize = 20;
-/// Max tenant bytes a slot stores before truncating.
-pub const TENANT_BYTES: usize = TENANT_WORDS * 8;
-/// Max url bytes a slot stores before truncating.
-pub const URL_BYTES: usize = URL_WORDS * 8;
-
-// Word layout. Every disposition writes the prefix up through the url
-// words; only executed/priced requests write the cost and admission
-// suffix. Keeping the universally-written words contiguous at the front
-// means the hot (cache-hit) write touches one run of cache lines — see
-// `HOT_PREFIX_LINES`.
-const W_SEQ: usize = 0;
-const W_META: usize = 1; // disposition | status<<8 | flags<<24 | verdict<<32 | adm<<40 | tlen<<48 | ulen<<56
-const W_TRACE_HI: usize = 2;
-const W_TRACE_LO: usize = 3;
-const W_SPAN: usize = 4;
-const W_FP: usize = 5;
-const W_STAGE0: usize = 6; // ..=11
-const W_TOTAL: usize = 12;
-const W_VT_EXEC: usize = 13;
-const W_VT_ENC: usize = 14;
-const W_BYTES_OUT: usize = 15;
-const W_TENANT0: usize = 16; // ..=18
-const W_URL0: usize = 19; // ..=38
-const W_EST0: usize = 39; // ..=48
-const W_EST_NS: usize = 49;
-const W_ACT0: usize = 50; // ..=59
-const W_ACT_NS: usize = 60;
-const W_ADM_EST: usize = 61;
-const W_ADM_BEFORE: usize = 62;
-const W_ADM_AFTER: usize = 63;
-const W_ADM_RATE: usize = 64;
-const W_ADM_BURST: usize = 65;
-const W_ADM_RETRY: usize = 66;
-const SLOT_WORDS: usize = W_ADM_RETRY + 1;
-
-/// Cache lines covering the slot version plus the universally-written
-/// word prefix (`W_SEQ..=W_URL0 + URL_WORDS`) — what `prefetch_next`
-/// warms for the common dispositions.
-const HOT_PREFIX_LINES: usize = (8 + W_EST0 * 8).div_ceil(64);
-
-const FLAG_COST: u64 = 1;
-const FLAG_ADMISSION: u64 = 2;
-const FLAG_EXPLAIN: u64 = 4;
-const FLAG_SLOW: u64 = 8;
-const FLAG_TRUNCATED: u64 = 16;
-
-struct Slot {
-    /// Seqlock: odd while a writer owns the slot.
-    version: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { version: AtomicU64::new(0), words: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-/// Pack a string into word-atomic storage; returns the stored length.
-#[inline]
-fn store_str(words: &[AtomicU64], s: &str, cap_bytes: usize) -> usize {
-    let bytes = &s.as_bytes()[..s.len().min(cap_bytes)];
-    let mut chunks = bytes.chunks_exact(8);
-    let mut w = words.iter();
-    for chunk in chunks.by_ref() {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap());
-        w.next().unwrap().store(word, Ordering::Relaxed);
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut word = 0u64;
-        for (i, &b) in tail.iter().enumerate() {
-            word |= (b as u64) << (8 * i);
-        }
-        w.next().unwrap().store(word, Ordering::Relaxed);
-    }
-    bytes.len()
-}
-
-fn load_str(words: &[u64], len: usize) -> String {
-    let mut out = Vec::with_capacity(len);
-    for (i, w) in words.iter().enumerate() {
-        for b in 0..8 {
-            let pos = i * 8 + b;
-            if pos >= len {
-                break;
-            }
-            out.push((w >> (8 * b)) as u8);
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-// ---------------------------------------------------------------------------
 // The recorder
 // ---------------------------------------------------------------------------
+
+/// Max tenant bytes a slot stores before truncating.
+pub const TENANT_BYTES: usize = 24;
+/// Max url bytes a slot stores before truncating.
+pub const URL_BYTES: usize = 160;
+/// Ring capacity, in records, of the service's recorder.
+pub(crate) const RING_CAPACITY: usize = 512;
+
+/// Overwrite `dst` with the longest prefix of `src` that fits in `cap`
+/// bytes and ends on a char boundary. Slot strings hold `cap` bytes of
+/// capacity from construction, so this never allocates.
+fn store_clipped(dst: &mut String, src: &str, cap: usize) {
+    dst.clear();
+    dst.push_str(&src[..src.floor_char_boundary(cap)]);
+}
+
+/// The ring proper. `head` counts every record written; record `seq`
+/// lives in `slots[seq % slots.len()]` until `head` passes
+/// `seq + slots.len()`.
+struct Ring {
+    slots: Vec<RequestRecord>,
+    head: u64,
+}
+
+impl Ring {
+    /// Clones of the first `limit` live records `keep` accepts, newest
+    /// first.
+    fn newest_first(
+        &self,
+        limit: usize,
+        keep: impl Fn(&RequestRecord) -> bool,
+    ) -> Vec<RequestRecord> {
+        let cap = self.slots.len() as u64;
+        (self.head.saturating_sub(cap)..self.head)
+            .rev()
+            .map(|seq| &self.slots[(seq % cap) as usize])
+            .filter(|rec| keep(rec))
+            .take(limit)
+            .cloned()
+            .collect()
+    }
+}
+
+/// Fill in the fingerprints the hot path left 0 (see [`fingerprint64`]).
+fn with_fingerprints(mut recs: Vec<RequestRecord>) -> Vec<RequestRecord> {
+    for rec in &mut recs {
+        if rec.fingerprint == 0 {
+            rec.fingerprint = fingerprint64(&rec.url);
+        }
+    }
+    recs
+}
 
 /// Filters for [`QueryRecorder::recent`] — the `/debug/requests` query
 /// parameters.
@@ -690,6 +624,14 @@ pub struct RecordFilter {
     pub limit: Option<usize>,
 }
 
+impl RecordFilter {
+    fn matches(&self, rec: &RequestRecord) -> bool {
+        self.disposition.is_none_or(|d| rec.disposition == d)
+            && self.min_ms.is_none_or(|ms| !(rec.total_ms() < ms && rec.modelled_ms() < ms))
+            && self.tenant.as_ref().is_none_or(|t| rec.tenant == *t)
+    }
+}
+
 /// How many slow records stay pinned (oldest evicted).
 const SLOW_PINNED: usize = 64;
 
@@ -698,14 +640,10 @@ const SLOW_PINNED: usize = 64;
 /// recorder disabled never constructs it, so those series never appear in
 /// the exposition.
 pub struct QueryRecorder {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
+    ring: Mutex<Ring>,
     slow_ns: u64,
-    dropped: AtomicU64,
     pinned: Mutex<VecDeque<RequestRecord>>,
     records_total: Arc<monster_obs::Counter>,
-    dropped_total: Arc<monster_obs::Counter>,
     slow_total: Arc<monster_obs::Counter>,
     ratio_histos: [Arc<monster_obs::Histo>; 4],
 }
@@ -715,11 +653,9 @@ pub struct QueryRecorder {
 pub const RATIO_STAGES: [&str; 4] = ["seconds", "points", "bytes", "blocks"];
 
 impl QueryRecorder {
-    /// A recorder with `capacity` ring slots (rounded up to a power of
-    /// two, min 16) pinning records slower than `slow_ms` wall-or-modelled
-    /// milliseconds.
+    /// A recorder with `capacity` ring slots (min 1) pinning records
+    /// slower than `slow_ms` wall-or-modelled milliseconds.
     pub fn new(capacity: usize, slow_ms: f64) -> QueryRecorder {
-        let cap = capacity.max(16).next_power_of_two();
         // Touch the ticker once so calibration never lands mid-request.
         let _ = ticker();
         let ratio_histos = RATIO_STAGES.map(|stage| {
@@ -730,21 +666,21 @@ impl QueryRecorder {
                  is mispricing queries.",
             )
         });
+        let blank = Draft::new("", "", TraceId(0), SpanId(0)).to_record(0, false);
+        let slots = (0..capacity.max(1))
+            .map(|_| RequestRecord {
+                tenant: String::with_capacity(TENANT_BYTES),
+                url: String::with_capacity(URL_BYTES),
+                ..blank.clone()
+            })
+            .collect();
         QueryRecorder {
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-            mask: cap as u64 - 1,
-            head: AtomicU64::new(0),
+            ring: Mutex::new(Ring { slots, head: 0 }),
             slow_ns: (slow_ms.max(0.0) * 1e6) as u64,
-            dropped: AtomicU64::new(0),
             pinned: Mutex::new(VecDeque::with_capacity(SLOW_PINNED)),
             records_total: monster_obs::counter_help(
                 "monster_builder_qlog_records_total",
                 "Flight-recorder records captured on the query path.",
-            ),
-            dropped_total: monster_obs::counter_help(
-                "monster_builder_qlog_dropped_total",
-                "Flight-recorder records dropped because a concurrent writer \
-                 lapped the ring onto the same slot.",
             ),
             slow_total: monster_obs::counter_help(
                 "monster_builder_slow_queries_total",
@@ -756,128 +692,28 @@ impl QueryRecorder {
 
     /// Ring capacity in slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.lock().slots.len()
     }
 
     /// Records captured since construction.
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Records dropped to a lapped-writer collision.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Hint the cache that the slot the *next* [`record`](Self::record)
-    /// call will claim is about to be written. The ring's working set
-    /// (capacity × ~0.5 KiB) can dwarf L1/L2, so by the time a slot comes
-    /// around again its lines are cold — without this, every record pays
-    /// read-for-ownership misses on the hot path. Called at request
-    /// entry, the prefetch overlaps the entire serve. Only the
-    /// universally-written word prefix is warmed; the cost/admission
-    /// suffix belongs to executed requests, which run at micro- not
-    /// nanosecond scale. Racing another writer to the slot is harmless: a
-    /// prefetch is only a hint.
-    #[inline]
-    pub fn prefetch_next(&self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let slot = &self.slots[(self.head.load(Ordering::Relaxed) & self.mask) as usize];
-            let base = slot as *const Slot as *const i8;
-            for line in 0..HOT_PREFIX_LINES {
-                // SAFETY: every address in [base, base + size_of::<Slot>())
-                // lies inside the `slot` allocation; prefetch has no
-                // architectural effect regardless.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch(
-                        base.add(line * 64),
-                        core::arch::x86_64::_MM_HINT_T0,
-                    )
-                };
-            }
-        }
+        self.ring.lock().head
     }
 
     /// Capture one request; returns the record's sequence number and
     /// whether it crossed the slow-query threshold. The common
-    /// (cache-hit) disposition stores ~30 words under a single
-    /// CAS-claimed seqlock — no locks, no heap; see the module docs for
-    /// the budget arithmetic.
+    /// (cache-hit) disposition takes one uncontended lock and copies the
+    /// draft into a recycled slot — no heap; see the module docs.
     pub fn record(&self, d: &Draft<'_>) -> (u64, bool) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        let v = slot.version.load(Ordering::Relaxed);
-        if v & 1 == 1
-            || slot
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            // Another writer owns this slot (the ring lapped a full
-            // capacity while it was mid-write). Debug data is best-effort:
-            // drop rather than spin on the hot path.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.dropped_total.inc();
-            return (seq, self.is_slow(d));
-        }
-        let w = &slot.words;
-        let tlen = store_str(&w[W_TENANT0..W_TENANT0 + TENANT_WORDS], d.tenant, TENANT_BYTES);
-        let ulen = store_str(&w[W_URL0..W_URL0 + URL_WORDS], d.url, URL_BYTES);
-        let truncated = d.tenant.len() > TENANT_BYTES || d.url.len() > URL_BYTES;
         let slow = self.is_slow(d);
-        let mut flags = 0u64;
-        if d.explain {
-            flags |= FLAG_EXPLAIN;
-        }
-        if slow {
-            flags |= FLAG_SLOW;
-        }
-        if truncated {
-            flags |= FLAG_TRUNCATED;
-        }
-        let adm_code = d.admission.map_or(0, |a| a.decision.code());
-        if let Some(cost) = &d.cost {
-            flags |= FLAG_COST;
-            for (i, word) in cost.estimated.to_words().iter().enumerate() {
-                w[W_EST0 + i].store(*word, Ordering::Relaxed);
-            }
-            for (i, word) in cost.actual.to_words().iter().enumerate() {
-                w[W_ACT0 + i].store(*word, Ordering::Relaxed);
-            }
-            w[W_EST_NS].store(cost.estimated_ns, Ordering::Relaxed);
-            w[W_ACT_NS].store(cost.actual_ns, Ordering::Relaxed);
-        }
-        if let Some(adm) = &d.admission {
-            flags |= FLAG_ADMISSION;
-            w[W_ADM_EST].store(adm.estimated_secs.to_bits(), Ordering::Relaxed);
-            w[W_ADM_BEFORE].store(adm.tokens_before.to_bits(), Ordering::Relaxed);
-            w[W_ADM_AFTER].store(adm.tokens_after.to_bits(), Ordering::Relaxed);
-            w[W_ADM_RATE].store(adm.rate.to_bits(), Ordering::Relaxed);
-            w[W_ADM_BURST].store(adm.burst.to_bits(), Ordering::Relaxed);
-            w[W_ADM_RETRY].store(adm.retry_after_secs, Ordering::Relaxed);
-        }
-        w[W_SEQ].store(seq, Ordering::Relaxed);
-        let meta = d.disposition.code()
-            | (d.status as u64) << 8
-            | flags << 24
-            | d.verdict.code() << 32
-            | adm_code << 40
-            | (tlen as u64) << 48
-            | (ulen as u64) << 56;
-        w[W_META].store(meta, Ordering::Relaxed);
-        w[W_TRACE_HI].store((d.trace.0 >> 64) as u64, Ordering::Relaxed);
-        w[W_TRACE_LO].store(d.trace.0 as u64, Ordering::Relaxed);
-        w[W_SPAN].store(d.span.0, Ordering::Relaxed);
-        w[W_FP].store(d.fingerprint, Ordering::Relaxed);
-        for (i, ns) in d.stages_ns.iter().enumerate() {
-            w[W_STAGE0 + i].store(*ns, Ordering::Relaxed);
-        }
-        w[W_TOTAL].store(d.total_ns, Ordering::Relaxed);
-        w[W_VT_EXEC].store(d.vtime_execute_ns, Ordering::Relaxed);
-        w[W_VT_ENC].store(d.vtime_encode_ns, Ordering::Relaxed);
-        w[W_BYTES_OUT].store(d.bytes_out, Ordering::Relaxed);
-        slot.version.store(v + 2, Ordering::Release);
+        let seq = {
+            let mut ring = self.ring.lock();
+            let seq = ring.head;
+            ring.head += 1;
+            let cap = ring.slots.len() as u64;
+            d.store(&mut ring.slots[(seq % cap) as usize], seq, slow);
+            seq
+        };
 
         // Everything below is off the common path: estimator-accuracy
         // histograms fire only when a request executed, the slow log only
@@ -897,10 +733,7 @@ impl QueryRecorder {
         }
         if slow {
             self.slow_total.inc();
-            let mut rec = d.to_record(seq, true);
-            if rec.fingerprint == 0 {
-                rec.fingerprint = fingerprint64(&rec.url);
-            }
+            let rec = d.to_record(seq, true);
             let mut pinned = self.pinned.lock();
             if pinned.len() == SLOW_PINNED {
                 pinned.pop_front();
@@ -916,7 +749,7 @@ impl QueryRecorder {
     /// at scrape/debug time, instead of costing an extra atomic RMW per
     /// request. Monotone: concurrent syncs can only add.
     pub fn sync_counters(&self) {
-        let head = self.head.load(Ordering::Relaxed);
+        let head = self.recorded();
         let published = self.records_total.get();
         if head > published {
             self.records_total.add(head - published);
@@ -932,86 +765,15 @@ impl QueryRecorder {
                 || d.vtime_execute_ns + d.vtime_encode_ns >= self.slow_ns)
     }
 
-    /// Snapshot one slot; `None` while a writer owns it or if it has never
-    /// been written.
-    fn read_slot(&self, idx: usize) -> Option<RequestRecord> {
-        let slot = &self.slots[idx];
-        for _ in 0..4 {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 & 1 == 1 {
-                return None;
-            }
-            let words: [u64; SLOT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            // Word loads are atomic, so tearing within a word is
-            // impossible; the version re-check guards cross-word
-            // consistency against a concurrent rewrite.
-            let v2 = slot.version.load(Ordering::Acquire);
-            if v1 == v2 {
-                return Some(decode(&words));
-            }
-        }
-        None
-    }
-
     /// Newest-first records matching `filter`.
     pub fn recent(&self, filter: &RecordFilter) -> Vec<RequestRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
         let limit = filter.limit.unwrap_or(50);
-        let mut out = Vec::new();
-        let mut seq = head;
-        while seq > 0 && seq + cap > head && out.len() < limit {
-            seq -= 1;
-            let Some(rec) = self.read_slot((seq & self.mask) as usize) else {
-                continue;
-            };
-            // A lapped slot can hold a newer record than the cursor; skip
-            // anything whose stored seq disagrees.
-            if rec.seq != seq {
-                continue;
-            }
-            if self.matches(&rec, filter) {
-                out.push(rec);
-            }
-        }
-        out
-    }
-
-    fn matches(&self, rec: &RequestRecord, filter: &RecordFilter) -> bool {
-        if let Some(d) = filter.disposition {
-            if rec.disposition != d {
-                return false;
-            }
-        }
-        if let Some(min_ms) = filter.min_ms {
-            if rec.total_ms() < min_ms && rec.modelled_ms() < min_ms {
-                return false;
-            }
-        }
-        if let Some(tenant) = &filter.tenant {
-            if rec.tenant != *tenant {
-                return false;
-            }
-        }
-        true
+        with_fingerprints(self.ring.lock().newest_first(limit, |rec| filter.matches(rec)))
     }
 
     /// All live records carrying `trace`, newest first.
     pub fn by_trace(&self, trace: TraceId) -> Vec<RequestRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let mut out = Vec::new();
-        let mut seq = head;
-        while seq > 0 && seq + cap > head {
-            seq -= 1;
-            if let Some(rec) = self.read_slot((seq & self.mask) as usize) {
-                if rec.seq == seq && rec.trace == trace {
-                    out.push(rec);
-                }
-            }
-        }
-        out
+        with_fingerprints(self.ring.lock().newest_first(usize::MAX, |rec| rec.trace == trace))
     }
 
     /// The pinned slow-query log, newest first.
@@ -1027,71 +789,10 @@ impl QueryRecorder {
         jobj! {
             "capacity" => self.capacity() as i64,
             "recorded_total" => self.recorded() as i64,
-            "dropped_total" => self.dropped() as i64,
             "slow_threshold_ms" => self.slow_ns as f64 / 1e6,
             "requests" => Value::Array(requests),
             "slow" => Value::Array(slow),
         }
-    }
-}
-
-fn decode(w: &[u64; SLOT_WORDS]) -> RequestRecord {
-    let meta = w[W_META];
-    let flags = (meta >> 24) & 0xff;
-    let tlen = ((meta >> 48) & 0xff) as usize;
-    let ulen = (meta >> 56) as usize;
-    let cost = if flags & FLAG_COST != 0 {
-        let mut est = [0u64; COST_WORDS];
-        let mut act = [0u64; COST_WORDS];
-        est.copy_from_slice(&w[W_EST0..W_EST0 + COST_WORDS]);
-        act.copy_from_slice(&w[W_ACT0..W_ACT0 + COST_WORDS]);
-        Some(CostPair {
-            estimated: QueryCost::from_words(&est),
-            actual: QueryCost::from_words(&act),
-            estimated_ns: w[W_EST_NS],
-            actual_ns: w[W_ACT_NS],
-        })
-    } else {
-        None
-    };
-    let admission = if flags & FLAG_ADMISSION != 0 {
-        Some(AdmissionSnapshot {
-            decision: AdmissionDecision::from_code((meta >> 40) & 0xff),
-            estimated_secs: f64::from_bits(w[W_ADM_EST]),
-            tokens_before: f64::from_bits(w[W_ADM_BEFORE]),
-            tokens_after: f64::from_bits(w[W_ADM_AFTER]),
-            rate: f64::from_bits(w[W_ADM_RATE]),
-            burst: f64::from_bits(w[W_ADM_BURST]),
-            retry_after_secs: w[W_ADM_RETRY],
-        })
-    } else {
-        None
-    };
-    let url = load_str(&w[W_URL0..W_URL0 + URL_WORDS], ulen);
-    // The hot path stores 0 rather than hashing; recompute from the
-    // stored (possibly truncated) key at read time. A nonzero word means
-    // an eager path (explain) hashed the full key already.
-    let fingerprint = if w[W_FP] != 0 { w[W_FP] } else { fingerprint64(&url) };
-    RequestRecord {
-        seq: w[W_SEQ],
-        disposition: Disposition::from_code(meta & 0xff),
-        status: ((meta >> 8) & 0xffff) as u16,
-        trace: TraceId(((w[W_TRACE_HI] as u128) << 64) | w[W_TRACE_LO] as u128),
-        span: SpanId(w[W_SPAN]),
-        fingerprint,
-        tenant: load_str(&w[W_TENANT0..W_TENANT0 + TENANT_WORDS], tlen),
-        url,
-        truncated: flags & FLAG_TRUNCATED != 0,
-        explain: flags & FLAG_EXPLAIN != 0,
-        slow: flags & FLAG_SLOW != 0,
-        stages_ns: std::array::from_fn(|i| w[W_STAGE0 + i]),
-        total_ns: w[W_TOTAL],
-        vtime_execute_ns: w[W_VT_EXEC],
-        vtime_encode_ns: w[W_VT_ENC],
-        bytes_out: w[W_BYTES_OUT],
-        verdict: CacheVerdict::from_code((meta >> 32) & 0xff),
-        cost,
-        admission,
     }
 }
 
@@ -1239,7 +940,6 @@ mod tests {
         assert_eq!(all[0].seq, 39, "newest first");
         assert_eq!(all.last().unwrap().seq, 24, "oldest surviving = head - capacity");
         assert_eq!(rec.recorded(), 40);
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]
@@ -1319,6 +1019,102 @@ mod tests {
         assert_eq!(got.url.len(), URL_BYTES);
         assert_eq!(got.tenant.len(), TENANT_BYTES);
         assert!(long_url.starts_with(&got.url));
+
+        // Cuts land on char boundaries: a 25-byte tenant whose last
+        // two-byte char straddles the cap, and a key whose byte
+        // `URL_BYTES` falls inside a three-byte char.
+        let tenant = format!("a{}", "é".repeat(12));
+        let url = format!("/v1/metrics?{}{}", "x".repeat(URL_BYTES - 13), "€".repeat(4));
+        assert!(!url.is_char_boundary(URL_BYTES));
+        let mut d = draft_with(&url, 1);
+        d.tenant = &tenant;
+        rec.record(&d);
+        let got = &rec.recent(&RecordFilter::default())[0];
+        assert!(got.truncated);
+        assert!(tenant.starts_with(&got.tenant), "{:?}", got.tenant);
+        assert_eq!(got.tenant.len(), TENANT_BYTES - 1);
+        assert!(url.starts_with(&got.url), "{:?}", got.url);
+        assert_eq!(got.url.len(), URL_BYTES - 1);
+    }
+
+    #[test]
+    fn long_keys_carry_one_fingerprint_everywhere() {
+        let rec = QueryRecorder::new(16, 1.0);
+        let key = format!("/v1/metrics?{}", "k".repeat(188));
+        assert_eq!(key.len(), 200);
+        let want = fingerprint64(&key);
+        for eager in [false, true] {
+            let mut d = draft_with(&key, 0);
+            d.fingerprint = if eager { want } else { 0 };
+            d.vtime_execute_ns = 5_000_000; // over the 1 ms threshold
+            let (seq, slow) = rec.record(&d);
+            assert!(slow);
+            let ring = &rec.recent(&RecordFilter::default())[0];
+            assert_eq!(ring.seq, seq);
+            assert_eq!(ring.fingerprint, want, "ring record, eager={eager}");
+            assert_eq!(rec.slow_log()[0].fingerprint, want, "slow log, eager={eager}");
+            assert_eq!(d.to_record(seq, slow).fingerprint, want, "explain, eager={eager}");
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_and_readers_see_whole_records() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 10_000;
+        let rec = QueryRecorder::new(64, 0.0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // All five threads start together, so the writes and reads overlap.
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        // Every field a reader checks is derived from the url, so a record
+        // stitched from two writes cannot pass.
+        let check = |r: &RequestRecord| {
+            let want = format!("/v1/metrics?trace={:x}&bytes={}", r.trace.0, r.bytes_out);
+            assert_eq!(r.url, want, "torn record");
+            assert_eq!(r.span, SpanId(r.bytes_out));
+            assert_eq!(r.fingerprint, fingerprint64(&r.url));
+        };
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (rec, start) = (&rec, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..PER_WRITER {
+                            let trace = TraceId(((w as u128) << 32) | i as u128);
+                            let bytes = w * 1_000_003 + i * 7;
+                            let url = format!("/v1/metrics?trace={:x}&bytes={bytes}", trace.0);
+                            let mut d = Draft::new(&url, "anonymous", trace, SpanId(bytes));
+                            d.disposition = Disposition::Hit;
+                            d.bytes_out = bytes;
+                            rec.record(&d);
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let all = RecordFilter { limit: Some(64), ..RecordFilter::default() };
+                start.wait();
+                let mut reads = 0;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) || reads == 0 {
+                    let recent = rec.recent(&all);
+                    recent.iter().for_each(check);
+                    if let Some(r) = recent.last() {
+                        let same = rec.by_trace(r.trace);
+                        same.iter().for_each(check);
+                        assert!(same.iter().all(|x| x.trace == r.trace));
+                    }
+                    reads += 1;
+                }
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        assert_eq!(rec.recorded(), WRITERS * PER_WRITER);
+        let last = rec.recent(&RecordFilter { limit: Some(100), ..RecordFilter::default() });
+        assert_eq!(last.len(), 64);
+        last.iter().for_each(check);
     }
 
     #[test]

@@ -61,8 +61,6 @@ pub struct QlogConfig {
     /// serves 404, and `/v1/metrics` takes no timestamps (only
     /// `?explain=true` still assembles a per-request record, inline).
     pub enabled: bool,
-    /// Ring capacity in records (rounded up to a power of two, min 16).
-    pub capacity: usize,
     /// Requests at or above this many milliseconds — wall *or* modelled —
     /// are counted in `monster_builder_slow_queries_total` and pinned in
     /// the slow log. `0` disables slow-query tracking.
@@ -71,7 +69,7 @@ pub struct QlogConfig {
 
 impl Default for QlogConfig {
     fn default() -> QlogConfig {
-        QlogConfig { enabled: true, capacity: 512, slow_ms: 250.0 }
+        QlogConfig { enabled: true, slow_ms: 250.0 }
     }
 }
 
@@ -501,7 +499,7 @@ pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router 
     let recorder = config
         .qlog
         .enabled
-        .then(|| Arc::new(QueryRecorder::new(config.qlog.capacity, config.qlog.slow_ms)));
+        .then(|| Arc::new(QueryRecorder::new(qlog::RING_CAPACITY, config.qlog.slow_ms)));
     let node_list: Vec<Value> = nodes.iter().map(|n| Value::from(n.bmc_addr())).collect();
     let nodes_doc = jobj! { "nodes" => Value::Array(node_list) };
 
@@ -543,11 +541,6 @@ pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router 
             // paying the query split; `observing` gates every timestamp.
             let may_explain = req.query.contains("explain");
             let observing = state.recorder.is_some() || may_explain;
-            if let Some(r) = &state.recorder {
-                // Warm the ring slot this request will record into; the
-                // prefetch overlaps the whole serve (see qlog docs).
-                r.prefetch_next();
-            }
             let t0 = stamp(observing);
             let (key, explain) = if may_explain {
                 normalize_key(req)
@@ -557,12 +550,6 @@ pub fn router(db: Arc<Db>, nodes: Vec<NodeId>, config: ServiceConfig) -> Router 
             let tenant = tenant_of(req);
             let mut draft = Draft::new(&key, tenant, ctx.trace, ctx.span);
             draft.explain = explain;
-            if explain {
-                // Only the explain envelope needs the fingerprint now;
-                // ring records leave it 0 and the decoder recomputes it
-                // from the stored key, off the hot path.
-                draft.fingerprint = qlog::fingerprint64(&key);
-            }
 
             let mut resp = serve_metrics(&state, req, &key, span, ctx, &mut draft, observing, t0);
 
@@ -1260,7 +1247,6 @@ mod tests {
         );
         // The top-level document shape, one level deep.
         assert!(doc.get("capacity").unwrap().as_i64().unwrap() >= 16);
-        assert!(doc.get("dropped_total").unwrap().as_i64().is_some());
         assert!(doc.get("slow_threshold_ms").unwrap().as_f64().is_some());
         assert!(doc.get("slow").unwrap().as_array().is_some());
     }

@@ -92,8 +92,8 @@ fn cache_hits_copy_zero_body_bytes() {
 #[test]
 fn flight_recording_on_the_hit_path_is_allocation_free() {
     let _gate = GATE.lock().unwrap();
-    // The PR-10 recorder rides the same warm path the test above
-    // protects: timing stamps, fingerprint, and the seqlock ring write
+    // The flight recorder rides the same warm path the test above
+    // protects: timing stamps, fingerprint, and the ring slot rewrite
     // must all stay off the heap, or recording would regress the
     // zero-copy hit guarantee.
     let db = Db::new(DbConfig::default());
@@ -136,7 +136,6 @@ fn flight_recording_on_the_hit_path_is_allocation_free() {
          allocated {bytes} bytes in {allocs} allocations"
     );
     assert_eq!(recorder.recorded(), HITS as u64 + 1);
-    assert_eq!(recorder.dropped(), 0);
 }
 
 #[test]

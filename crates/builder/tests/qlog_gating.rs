@@ -18,9 +18,8 @@ use monster_tsdb::{Db, DbConfig};
 use monster_util::NodeId;
 use std::sync::Arc;
 
-const QLOG_FAMILIES: [&str; 4] = [
+const QLOG_FAMILIES: [&str; 3] = [
     "monster_builder_qlog_records_total",
-    "monster_builder_qlog_dropped_total",
     "monster_builder_slow_queries_total",
     "monster_builder_cost_estimate_ratio",
 ];

@@ -2,12 +2,25 @@
 //! with circuit breakers and deadline-aware sweeps rides out a dead BMC
 //! (stale substitution, bounded makespans, recovery), and the resilience
 //! series show up in a live `/metrics` scrape over a real socket.
+//!
+//! Every deployment sets the same process-global breaker gauges, so the
+//! tests take turns on `GATE`: a sweep in a parallel test could otherwise
+//! overwrite `monster_redfish_breakers_closed` between the scrape test's
+//! sweep and its scrape.
 
 use monster::http::{Client, Request};
 use monster::redfish::bmc::BmcConfig;
 use monster::redfish::resilience::ResilienceConfig;
 use monster::sim::VDuration;
 use monster::{obs, Monster, MonsterConfig};
+use std::sync::{Mutex, MutexGuard};
+
+static GATE: Mutex<()> = Mutex::new(());
+
+/// Hold the gate for a whole test; a failed test must not fail the rest.
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
     Monster::new(MonsterConfig {
@@ -23,6 +36,7 @@ fn resilient_deployment(nodes: usize, seed: u64) -> Monster {
 
 #[test]
 fn dead_bmc_degrades_gracefully_and_recovers() {
+    let _gate = gate();
     let mut m = resilient_deployment(6, 31);
     let victim = m.node_ids()[0];
     let deadline = ResilienceConfig::default().sweep_deadline;
@@ -71,6 +85,7 @@ fn dead_bmc_degrades_gracefully_and_recovers() {
 
 #[test]
 fn stale_substitutes_land_in_storage_tagged() {
+    let _gate = gate();
     let mut m = resilient_deployment(4, 32);
     let victim = m.node_ids()[1];
     m.run_interval().unwrap();
@@ -92,6 +107,7 @@ fn stale_substitutes_land_in_storage_tagged() {
 
 #[test]
 fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
+    let _gate = gate();
     // The paper's fleet size through the resilient path: the deadline is
     // honored by construction even at the 1868-request pool size.
     let mut m = Monster::new(MonsterConfig {
@@ -113,6 +129,7 @@ fn resilient_sweep_holds_deadline_on_quanah_scale_fleet() {
 
 #[test]
 fn metrics_endpoint_exposes_resilience_series() {
+    let _gate = gate();
     let mut m = resilient_deployment(3, 33);
     let victim = m.node_ids()[2];
     m.run_interval().unwrap();
